@@ -5,10 +5,10 @@
 //! receipts (π_s) and the TSA signs digest-timestamp pairs (π_t).
 
 use crate::digest::Digest;
-use crate::field::fn_order;
-use crate::point::{double_scalar_mul, Affine};
-use crate::scalar::{deterministic_nonce, digest_to_scalar};
-use crate::u256::U256;
+use crate::field::{Fp, P};
+use crate::point::{mul_generator, Affine, Jacobian};
+use crate::scalar::{deterministic_nonce, digest_to_scalar, Scalar, HALF_N, N};
+use crate::u256::{Modulus, U256};
 
 /// An ECDSA signature `(r, s)` with low-s normalization.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,10 +28,9 @@ impl Signature {
 
     /// Parse from 64 bytes; rejects out-of-range or zero components.
     pub fn from_bytes(bytes: &[u8; 64]) -> Option<Signature> {
-        let n = fn_order();
         let r = U256::from_be_bytes(bytes[..32].try_into().unwrap());
         let s = U256::from_be_bytes(bytes[32..].try_into().unwrap());
-        if r.is_zero() || s.is_zero() || r.ge(&n.m) || s.ge(&n.m) {
+        if r.is_zero() || s.is_zero() || r.ge(&N) || s.ge(&N) {
             return None;
         }
         Some(Signature { r, s })
@@ -41,83 +40,77 @@ impl Signature {
 /// Sign a 32-byte message digest with secret scalar `sk`.
 ///
 /// The nonce is derived deterministically (RFC 6979 flavour) so repeated
-/// signing of the same journal yields identical receipts.
+/// signing of the same journal yields identical receipts. `k·G` walks
+/// the fixed-base table, never the variable-time wNAF path.
 pub fn sign(sk: &U256, msg_digest: &Digest) -> Signature {
-    let n = fn_order();
     let z = digest_to_scalar(msg_digest);
     let mut nonce_digest = *msg_digest;
     loop {
         let k = deterministic_nonce(sk, &nonce_digest);
-        // Fixed-base table multiplication: the signing hot path.
-        let r_point = crate::point::mul_generator(&k).to_affine();
-        let Affine::Point { x, .. } = r_point else {
+        let Affine::Point { x, .. } = mul_generator(&k).to_affine() else {
             // k·G = infinity cannot occur for 0 < k < n, but stay total.
             nonce_digest = crate::sha256(nonce_digest.as_bytes());
             continue;
         };
         // r = R.x mod n.
-        let r = if x.ge(&n.m) { x.sbb(&n.m).0 } else { x };
+        let r = Scalar::reduce(&x);
         if r.is_zero() {
             nonce_digest = crate::sha256(nonce_digest.as_bytes());
             continue;
         }
-        let k_inv = n.inv(&k).expect("nonzero nonce");
-        let rd = n.mul(&r, sk);
-        let mut s = n.mul(&k_inv, &n.add(&z, &rd));
+        let k_inv = Scalar::inv(&k).expect("nonzero nonce");
+        let rd = Scalar::mul(&r, sk);
+        let mut s = Scalar::mul(&k_inv, &Scalar::add(&z, &rd));
         if s.is_zero() {
             nonce_digest = crate::sha256(nonce_digest.as_bytes());
             continue;
         }
         // Low-s normalization (reject malleable twin).
-        let half = {
-            // floor(n/2): (n-1) >> 1 computed via subtraction and shift.
-            let n_minus_1 = n.m.sbb(&U256::ONE).0;
-            let mut limbs = n_minus_1.0;
-            let mut carry = 0u64;
-            for limb in limbs.iter_mut().rev() {
-                let new_carry = *limb & 1;
-                *limb = (*limb >> 1) | (carry << 63);
-                carry = new_carry;
-            }
-            U256(limbs)
-        };
-        if half.lt(&s) {
-            s = n.neg(&s);
+        if HALF_N.lt(&s) {
+            s = Scalar::neg(&s);
         }
         return Signature { r, s };
     }
 }
 
 /// Verify a signature over `msg_digest` against public point `pk`.
+///
+/// Everything here is public, so the variable-time routines apply:
+/// `s⁻¹` by binary inversion, `R = u1·G + u2·Q` with `u1·G` from the
+/// fixed-base table and `u2·Q` by wNAF, and `R.x mod n = r` is checked
+/// without leaving Jacobian coordinates ([`x_matches_r`]).
 pub fn verify(pk: &Affine, msg_digest: &Digest, sig: &Signature) -> bool {
     crate::counters::ECDSA_VERIFIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let n = fn_order();
-    if sig.r.is_zero() || sig.s.is_zero() || sig.r.ge(&n.m) || sig.s.ge(&n.m) {
+    if sig.r.is_zero() || sig.s.is_zero() || sig.r.ge(&N) || sig.s.ge(&N) {
         return false;
     }
-    let Affine::Point { .. } = pk else {
-        return false;
-    };
-    if !pk.is_on_curve() {
+    if matches!(pk, Affine::Infinity) || !pk.is_on_curve() {
         return false;
     }
     let z = digest_to_scalar(msg_digest);
-    let Some(s_inv) = n.inv(&sig.s) else {
-        return false;
-    };
-    let u1 = n.mul(&z, &s_inv);
-    let u2 = n.mul(&sig.r, &s_inv);
-    let g = Affine::generator().to_jacobian();
-    let q = pk.to_jacobian();
-    let r_point = double_scalar_mul(&u1, &g, &u2, &q);
-    if r_point.is_infinity() {
+    let s_inv = Scalar::inv_vartime(&sig.s).expect("s checked nonzero");
+    let u1 = Scalar::mul(&z, &s_inv);
+    let u2 = Scalar::mul(&sig.r, &s_inv);
+    let r_point = mul_generator(&u1).add(&pk.to_jacobian().mul_vartime(&u2));
+    x_matches_r(&r_point, &sig.r)
+}
+
+/// Does the affine x-coordinate of `point`, reduced mod n, equal `r`
+/// (with `0 < r < n`)? Infinity never matches.
+///
+/// Tests `X == r·Z²` instead of inverting Z. Since `x < p < 2n`,
+/// `x mod n = r` also holds when `x = r + n`, which is possible only
+/// while `r + n < p` (about one `r` in 2^128).
+pub fn x_matches_r(point: &Jacobian, r: &U256) -> bool {
+    if point.is_infinity() {
         return false;
     }
-    let Affine::Point { x, .. } = r_point.to_affine() else {
-        return false;
-    };
-    let x_mod_n = if x.ge(&n.m) { x.sbb(&n.m).0 } else { x };
-    x_mod_n == sig.r
+    let zz = Fp::sq(&point.z);
+    if Fp::mul(r, &zz) == point.x {
+        return true;
+    }
+    let (r_plus_n, carry) = r.adc(&N);
+    !carry && r_plus_n.lt(&P) && Fp::mul(&r_plus_n, &zz) == point.x
 }
 
 #[cfg(test)]

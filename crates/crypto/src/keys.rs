@@ -2,8 +2,8 @@
 
 use crate::digest::Digest;
 use crate::ecdsa::{sign, verify, Signature};
-use crate::field::fn_order;
 use crate::point::{Affine, Jacobian};
+use crate::scalar::N;
 use crate::sha256::sha256;
 use crate::u256::U256;
 
@@ -88,11 +88,10 @@ impl KeyPair {
     /// until the scalar lands in `[1, n)`). Deterministic derivation keeps
     /// tests, examples and benches reproducible.
     pub fn from_seed(seed: &[u8]) -> KeyPair {
-        let n = fn_order();
         let mut candidate = sha256(seed);
         loop {
             let sk = U256::from_be_bytes(&candidate.0);
-            if !sk.is_zero() && sk.lt(&n.m) {
+            if !sk.is_zero() && sk.lt(&N) {
                 return Self::from_secret(SecretKey(sk));
             }
             candidate = sha256(candidate.as_bytes());

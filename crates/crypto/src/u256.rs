@@ -1,6 +1,6 @@
-//! 256-bit unsigned integer arithmetic with modular operations for
-//! pseudo-Mersenne moduli (`m = 2^256 - c`), which covers both the
-//! secp256k1 base field prime and the group order.
+//! 256-bit unsigned integers and the modular-arithmetic interface shared
+//! by the secp256k1 base field ([`crate::field::Fp`]) and scalar field
+//! ([`crate::scalar::Scalar`]).
 
 /// A 256-bit unsigned integer stored as four little-endian u64 limbs.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -79,12 +79,7 @@ impl U256 {
 
     /// `self < other`.
     pub fn lt(&self, other: &U256) -> bool {
-        for i in (0..4).rev() {
-            if self.0[i] != other.0[i] {
-                return self.0[i] < other.0[i];
-            }
-        }
-        false
+        self.sbb(other).1
     }
 
     /// `self >= other`.
@@ -96,32 +91,63 @@ impl U256 {
     #[allow(clippy::needless_range_loop)] // limb indices pair two arrays
     pub fn adc(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
+        let mut carry = false;
         for i in 0..4 {
             let (s1, c1) = self.0[i].overflowing_add(other.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
             out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
+            carry = c1 | c2;
         }
-        (U256(out), carry != 0)
+        (U256(out), carry)
     }
 
     /// Wrapping subtraction; returns (difference, borrow).
     #[allow(clippy::needless_range_loop)] // limb indices pair two arrays
     pub fn sbb(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
+        let mut borrow = false;
         for i in 0..4 {
             let (d1, b1) = self.0[i].overflowing_sub(other.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
             out[i] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
+            borrow = b1 | b2;
         }
-        (U256(out), borrow != 0)
+        (U256(out), borrow)
     }
 
-    /// Full 256x256 -> 512-bit schoolbook multiplication.
-    pub fn widening_mul(&self, other: &U256) -> U512 {
+    /// `if cond { a } else { b }` by masking. The compiler may still
+    /// emit a branch, which is what a rarely-taken condition wants.
+    #[inline]
+    pub fn select(cond: bool, a: &U256, b: &U256) -> U256 {
+        let mask = (cond as u64).wrapping_neg();
+        U256(std::array::from_fn(|i| b.0[i] ^ ((a.0[i] ^ b.0[i]) & mask)))
+    }
+
+    /// [`U256::select`] for conditions set about half the time (the
+    /// carries of modular addition and subtraction): as a branch they
+    /// would mispredict that often, so each limb goes through
+    /// `std::hint::select_unpredictable`, which asks for a conditional
+    /// move instead.
+    #[inline]
+    pub fn select_unpredictable(cond: bool, a: &U256, b: &U256) -> U256 {
+        U256(std::array::from_fn(|i| std::hint::select_unpredictable(cond, a.0[i], b.0[i])))
+    }
+
+    /// `(top·2^256 + self) >> 1`.
+    #[inline]
+    pub fn shr1(&self, top: bool) -> U256 {
+        let l = &self.0;
+        U256([
+            (l[0] >> 1) | (l[1] << 63),
+            (l[1] >> 1) | (l[2] << 63),
+            (l[2] >> 1) | (l[3] << 63),
+            (l[3] >> 1) | ((top as u64) << 63),
+        ])
+    }
+
+    /// Full 256x256 -> 512-bit schoolbook product, little-endian limbs.
+    #[inline]
+    pub fn mul_wide(&self, other: &U256) -> [u64; 8] {
         let mut out = [0u64; 8];
         for i in 0..4 {
             let mut carry: u128 = 0;
@@ -132,184 +158,142 @@ impl U256 {
             }
             out[i + 4] = carry as u64;
         }
-        U512(out)
-    }
-}
-
-/// A 512-bit unsigned integer (multiplication intermediate).
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct U512(pub [u64; 8]);
-
-impl U512 {
-    /// Split into (high 256 bits, low 256 bits).
-    pub fn split(&self) -> (U256, U256) {
-        (
-            U256([self.0[4], self.0[5], self.0[6], self.0[7]]),
-            U256([self.0[0], self.0[1], self.0[2], self.0[3]]),
-        )
+        out
     }
 
-    pub fn is_high_zero(&self) -> bool {
-        self.0[4] == 0 && self.0[5] == 0 && self.0[6] == 0 && self.0[7] == 0
-    }
-
-    /// 512-bit addition of a 256-bit value (carry propagates through all
-    /// eight limbs; overflow beyond 512 bits cannot occur for our inputs).
-    #[allow(clippy::needless_range_loop)] // limb indices pair two arrays
-    pub fn add_u256(&self, other: &U256) -> U512 {
-        let mut out = self.0;
-        let mut carry = 0u64;
-        for i in 0..8 {
-            let o = if i < 4 { other.0[i] } else { 0 };
-            let (s1, c1) = out[i].overflowing_add(o);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        debug_assert_eq!(carry, 0, "U512 addition overflow");
-        U512(out)
-    }
-}
-
-/// A pseudo-Mersenne modulus `m = 2^256 - c` together with the reduction
-/// constant `c` (which must satisfy `c < 2^192` — true for both secp256k1
-/// moduli).
-#[derive(Clone, Copy, Debug)]
-pub struct Modulus {
-    pub m: U256,
-    /// `c = 2^256 - m = 2^256 mod m`.
-    pub c: U256,
-}
-
-impl Modulus {
-    /// Build a modulus, deriving `c = 2^256 - m` (wrapping negate).
-    pub fn new(m: U256) -> Self {
-        // 2^256 - m == (!m) + 1 in 256-bit wrapping arithmetic.
-        let (not_m_plus_1, _) = U256([!m.0[0], !m.0[1], !m.0[2], !m.0[3]]).adc(&U256::ONE);
-        Modulus { m, c: not_m_plus_1 }
-    }
-
-    /// Reduce an arbitrary 256-bit value mod m (m > 2^255, so at most one
-    /// subtraction is needed).
-    pub fn reduce(&self, x: U256) -> U256 {
-        if x.ge(&self.m) {
-            x.sbb(&self.m).0
-        } else {
-            x
-        }
-    }
-
-    /// Reduce a 512-bit value mod m using `2^256 ≡ c (mod m)`:
-    /// repeatedly fold the high half as `hi·c + lo` until the high half
-    /// vanishes, then conditionally subtract m.
-    pub fn reduce_wide(&self, x: U512) -> U256 {
-        let mut cur = x;
-        loop {
-            let (hi, lo) = cur.split();
-            if cur.is_high_zero() {
-                let mut r = lo;
-                while r.ge(&self.m) {
-                    r = r.sbb(&self.m).0;
-                }
-                return r;
+    /// 512-bit square: the six cross products once, doubled, plus the
+    /// four diagonal squares (10 limb products instead of 16).
+    #[inline]
+    pub fn sqr_wide(&self) -> [u64; 8] {
+        let a = &self.0;
+        let mut out = [0u64; 8];
+        for i in 0..3 {
+            let mut carry: u128 = 0;
+            for j in i + 1..4 {
+                let acc = out[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
+                out[i + j] = acc as u64;
+                carry = acc >> 64;
             }
-            cur = hi.widening_mul(&self.c).add_u256(&lo);
+            out[i + 4] = carry as u64;
         }
+        // The cross sum is below 2^511, so doubling cannot overflow.
+        let mut top = 0u64;
+        for limb in out.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | top;
+            top = next;
+        }
+        let mut carry: u128 = 0;
+        for i in 0..4 {
+            let sq = (a[i] as u128) * (a[i] as u128);
+            let lo = out[2 * i] as u128 + (sq as u64) as u128 + carry;
+            out[2 * i] = lo as u64;
+            let hi = out[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            out[2 * i + 1] = hi as u64;
+            carry = hi >> 64;
+        }
+        out
+    }
+}
+
+/// Arithmetic modulo a prime `M = 2^256 - C` with `C < 2^129`, which
+/// holds for both secp256k1 moduli. Operands and results are `U256`s in
+/// `[0, M)`, except that [`Modulus::reduce`] accepts any 256-bit value
+/// and [`Modulus::reduce_wide`] any 512-bit one.
+///
+/// Addition, subtraction and exponentiation are shared; each modulus
+/// supplies its own reduction of a 512-bit product, which is where the
+/// two differ in cost.
+pub trait Modulus {
+    /// The modulus.
+    const M: U256;
+    /// `2^256 - M`, i.e. `2^256 mod M`.
+    const C: U256;
+
+    /// Reduce a 512-bit value (little-endian limbs) mod `M`.
+    fn reduce_wide(w: &[u64; 8]) -> U256;
+
+    /// Reduce any 256-bit value mod `M`: one conditional subtraction
+    /// suffices because `M > 2^255`.
+    #[inline]
+    fn reduce(x: &U256) -> U256 {
+        let (d, borrow) = x.sbb(&Self::M);
+        U256::select(borrow, x, &d)
     }
 
-    /// Modular addition.
-    pub fn add(&self, a: &U256, b: &U256) -> U256 {
+    #[inline]
+    fn add(a: &U256, b: &U256) -> U256 {
+        // `sum + C` is `sum - M` mod 2^256, and the true sum is at least
+        // M exactly when one of the two additions carries.
         let (sum, carry) = a.adc(b);
-        if carry {
-            // sum + 2^256 ≡ sum + c (mod m).
-            let (folded, carry2) = sum.adc(&self.c);
-            debug_assert!(!carry2);
-            self.reduce(folded)
-        } else {
-            self.reduce(sum)
-        }
+        let (minus_m, wrapped) = sum.adc(&Self::C);
+        U256::select_unpredictable(carry | wrapped, &minus_m, &sum)
     }
 
-    /// Modular subtraction.
-    pub fn sub(&self, a: &U256, b: &U256) -> U256 {
+    #[inline]
+    fn sub(a: &U256, b: &U256) -> U256 {
         let (diff, borrow) = a.sbb(b);
-        if borrow {
-            diff.adc(&self.m).0
-        } else {
-            diff
+        let fix = U256::select_unpredictable(borrow, &Self::M, &U256::ZERO);
+        diff.adc(&fix).0
+    }
+
+    #[inline]
+    fn neg(a: &U256) -> U256 {
+        Self::sub(&U256::ZERO, a)
+    }
+
+    /// `a / 2`: `a` itself when even, else `(a + M) / 2`, with the
+    /// addition's carry shifted back in as the top bit.
+    #[inline]
+    fn half(a: &U256) -> U256 {
+        let odd = a.0[0] & 1 == 1;
+        let (sum, carry) = a.adc(&U256::select_unpredictable(odd, &Self::M, &U256::ZERO));
+        sum.shr1(carry)
+    }
+
+    #[inline]
+    fn mul(a: &U256, b: &U256) -> U256 {
+        Self::reduce_wide(&a.mul_wide(b))
+    }
+
+    #[inline]
+    fn sq(a: &U256) -> U256 {
+        Self::reduce_wide(&a.sqr_wide())
+    }
+
+    /// `base^exp` by 4-bit fixed windows, most significant first. The
+    /// window lookups follow the exponent's digits, so `exp` must be
+    /// public; `base` may be secret.
+    fn pow(base: &U256, exp: &U256) -> U256 {
+        let mut powers = [U256::ONE; 16];
+        for i in 1..16 {
+            powers[i] = Self::mul(&powers[i - 1], base);
         }
-    }
-
-    /// Modular multiplication.
-    pub fn mul(&self, a: &U256, b: &U256) -> U256 {
-        self.reduce_wide(a.widening_mul(b))
-    }
-
-    /// Modular squaring.
-    pub fn sq(&self, a: &U256) -> U256 {
-        self.mul(a, a)
-    }
-
-    /// Modular exponentiation (square-and-multiply, MSB first).
-    pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
         let mut result = U256::ONE;
-        let Some(top) = exp.highest_bit() else {
-            return result;
-        };
-        for i in (0..=top).rev() {
-            result = self.sq(&result);
-            if exp.bit(i) {
-                result = self.mul(&result, base);
+        for window in (0..64).rev() {
+            for _ in 0..4 {
+                result = Self::sq(&result);
+            }
+            let digit = (exp.0[window / 16] >> ((window % 16) * 4)) & 0xf;
+            if digit != 0 {
+                result = Self::mul(&result, &powers[digit as usize]);
             }
         }
         result
     }
 
-    /// Modular inverse via Fermat's little theorem (`a^(m-2) mod m`);
-    /// valid because both secp256k1 moduli are prime. Returns None for zero.
-    pub fn inv(&self, a: &U256) -> Option<U256> {
+    /// Inverse via Fermat's little theorem (`a^(M-2)`); None for zero.
+    fn inv(a: &U256) -> Option<U256> {
         if a.is_zero() {
             return None;
         }
-        let two = U256::from_u64(2);
-        let (m_minus_2, borrow) = self.m.sbb(&two);
-        debug_assert!(!borrow);
-        Some(self.pow(a, &m_minus_2))
-    }
-
-    /// Modular negation.
-    pub fn neg(&self, a: &U256) -> U256 {
-        if a.is_zero() {
-            U256::ZERO
-        } else {
-            self.m.sbb(a).0
-        }
+        Some(Self::pow(a, &Self::M.sbb(&U256::from_u64(2)).0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p() -> Modulus {
-        Modulus::new(
-            U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap(),
-        )
-    }
-
-    fn n() -> Modulus {
-        Modulus::new(
-            U256::from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
-                .unwrap(),
-        )
-    }
-
-    #[test]
-    fn c_constant_for_p() {
-        // 2^256 - p = 2^32 + 977 = 0x1000003d1.
-        assert_eq!(p().c, U256::from_hex("1000003d1").unwrap());
-    }
 
     #[test]
     fn be_bytes_round_trip() {
@@ -319,64 +303,33 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_inverse() {
-        let m = p();
-        let a = U256::from_hex("aa11bb22cc33dd44ee55ff6600112233445566778899aabbccddeeff00112233")
-            .unwrap();
-        let b = U256::from_hex("123456789abcdef0fedcba98765432100123456789abcdef013579bdf02468ac")
-            .unwrap();
-        let s = m.add(&a, &b);
-        assert_eq!(m.sub(&s, &b), m.reduce(a));
-        assert_eq!(m.sub(&s, &a), m.reduce(b));
-    }
-
-    #[test]
-    fn mul_matches_small_values() {
-        let m = n();
-        let a = U256::from_u64(123_456_789);
-        let b = U256::from_u64(987_654_321);
-        assert_eq!(m.mul(&a, &b), U256::from_u64(123_456_789 * 987_654_321));
-    }
-
-    #[test]
-    fn inverse_is_correct() {
-        for modulus in [p(), n()] {
-            let a = U256::from_hex(
-                "7f3c2a1b5d4e6f708192a3b4c5d6e7f8091a2b3c4d5e6f708192a3b4c5d6e7f8",
-            )
-            .unwrap();
-            let inv = modulus.inv(&a).unwrap();
-            assert_eq!(modulus.mul(&a, &inv), U256::ONE);
+    fn sqr_wide_matches_mul_wide() {
+        let mut x = U256([0x0123_4567_89ab_cdef, u64::MAX, 0, 0x8000_0000_0000_0001]);
+        for _ in 0..64 {
+            assert_eq!(x.sqr_wide(), x.mul_wide(&x), "x = {x:?}");
+            // Walk through carry-heavy and sparse limb patterns alike.
+            let w = x.mul_wide(&U256([0x9e37_79b9_7f4a_7c15, 3, u64::MAX, 1]));
+            x = U256([w[1] ^ w[6], w[2], w[3] | w[7], w[4]]);
         }
+        let max = U256([u64::MAX; 4]);
+        assert_eq!(max.sqr_wide(), max.mul_wide(&max));
     }
 
     #[test]
-    fn inverse_of_zero_is_none() {
-        assert!(p().inv(&U256::ZERO).is_none());
+    fn select_picks_either_operand() {
+        let a = U256::from_u64(7);
+        let b = U256([1, 2, 3, 4]);
+        assert_eq!(U256::select(true, &a, &b), a);
+        assert_eq!(U256::select(false, &a, &b), b);
+        assert_eq!(U256::select_unpredictable(true, &a, &b), a);
+        assert_eq!(U256::select_unpredictable(false, &a, &b), b);
     }
 
     #[test]
-    fn pow_small_cases() {
-        let m = p();
-        let three = U256::from_u64(3);
-        assert_eq!(m.pow(&three, &U256::ZERO), U256::ONE);
-        assert_eq!(m.pow(&three, &U256::from_u64(5)), U256::from_u64(243));
-    }
-
-    #[test]
-    fn neg_round_trip() {
-        let m = n();
-        let a = U256::from_u64(42);
-        assert_eq!(m.add(&a, &m.neg(&a)), U256::ZERO);
-        assert_eq!(m.neg(&U256::ZERO), U256::ZERO);
-    }
-
-    #[test]
-    fn reduce_wide_of_max_product() {
-        // (m-1)^2 mod m == 1.
-        for modulus in [p(), n()] {
-            let m_minus_1 = modulus.m.sbb(&U256::ONE).0;
-            assert_eq!(modulus.mul(&m_minus_1, &m_minus_1), U256::ONE);
-        }
+    fn lt_orders_by_most_significant_limb() {
+        assert!(U256([u64::MAX, 0, 0, 0]).lt(&U256([0, 0, 0, 1])));
+        assert!(!U256([0, 0, 0, 1]).lt(&U256([u64::MAX, 0, 0, 0])));
+        assert!(!U256::ONE.lt(&U256::ONE));
+        assert!(U256::ONE.ge(&U256::ONE));
     }
 }

@@ -200,6 +200,8 @@ impl GroupCommitter {
         committed: bool,
     ) -> Result<CommitOutcome, ErrorFrame> {
         if self.admission == Admission::Verify {
+            let _stage = trace::StageSpan::begin("admission_verify");
+            let _timer = self.metrics.admission_verify_seconds.time("admission_verify");
             self.shared
                 .verify_request(&request)
                 .map_err(|e| ErrorFrame::from_ledger_error(&e))?;

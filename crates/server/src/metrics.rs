@@ -176,6 +176,10 @@ pub struct BatchMetrics {
     /// `batch_commit_seconds` — whole-window commit latency (fsyncs,
     /// sealing, replies).
     pub commit_seconds: Arc<Histogram>,
+    /// `batch_admission_verify_seconds` — membership + π_c check on the
+    /// submitting thread, before the job is queued (the
+    /// `admission_verify` trace stage).
+    pub admission_verify_seconds: Arc<Histogram>,
 }
 
 impl BatchMetrics {
@@ -186,6 +190,8 @@ impl BatchMetrics {
             batch_size: registry.histogram("batch_size", Unit::Count),
             windows: registry.counter("batch_windows_total"),
             commit_seconds: registry.histogram("batch_commit_seconds", Unit::Seconds),
+            admission_verify_seconds: registry
+                .histogram("batch_admission_verify_seconds", Unit::Seconds),
         }
     }
 }

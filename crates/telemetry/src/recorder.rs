@@ -452,24 +452,29 @@ mod tests {
     fn concurrent_writers_and_scanners_stay_consistent() {
         let trace = TraceId::mint();
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Scanning starts only once every writer is writing; without
+        // this the scans could all finish before a writer ran at all.
+        let started = std::sync::Arc::new(std::sync::Barrier::new(4));
         let writers: Vec<_> = (0..3)
             .map(|w| {
                 let stop = stop.clone();
+                let started = started.clone();
                 std::thread::spawn(move || {
-                    let mut n = 0u64;
+                    let write = || {
+                        record(event(trace.0, crate::trace::next_span_id(), w, "torture_stage"))
+                    };
+                    write();
+                    started.wait();
+                    let mut n = 1u64;
                     while !stop.load(Ordering::Relaxed) {
-                        record(event(
-                            trace.0,
-                            crate::trace::next_span_id(),
-                            w,
-                            "torture_stage",
-                        ));
+                        write();
                         n += 1;
                     }
                     n
                 })
             })
             .collect();
+        started.wait();
         for _ in 0..50 {
             for e in events_for(trace.0) {
                 // A torn read would show impossible field mixes; the

@@ -39,8 +39,35 @@ use std::time::Instant;
 /// loadgen A/B harness turns it off to measure overhead).
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Monotonic source for span/trace id allocation.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+/// Monotonic source for span/trace id allocation, counted from
+/// [`id_base`].
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// This process's first id: a hash of the pid and the clock under a
+/// randomly keyed `RandomState`, so two processes (a client and
+/// `ledgerd`, say) do not mint the same trace ids, as they would from a
+/// shared fixed start. It lies in `[1, 2^52)`, so ids stay nonzero and,
+/// as span ids in Chrome-trace JSON, exact as JavaScript numbers for
+/// the first 2^52 allocations.
+fn id_base() -> u64 {
+    static BASE: OnceLock<u64> = OnceLock::new();
+    *BASE.get_or_init(process_seed)
+}
+
+fn process_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    h.write_u32(std::process::id());
+    let clock = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    h.write_u128(clock);
+    (h.finish() >> 12) | 1
+}
+
+fn next_id() -> u64 {
+    id_base().wrapping_add(NEXT_ID.fetch_add(1, Ordering::Relaxed))
+}
 
 /// Enable or disable span recording process-wide.
 pub fn set_trace_enabled(enabled: bool) {
@@ -75,7 +102,7 @@ impl TraceId {
     /// client-supplied id colliding with a server-minted one requires
     /// guessing, not luck.
     pub fn mint() -> TraceId {
-        let raw = splitmix64(NEXT_ID.fetch_add(1, Ordering::Relaxed));
+        let raw = splitmix64(next_id());
         TraceId(if raw == 0 { 1 } else { raw })
     }
 
@@ -107,7 +134,7 @@ impl TraceContext {
 
 /// Allocate a process-unique span id.
 pub fn next_span_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+    next_id()
 }
 
 /// What the current thread is working for.
@@ -292,6 +319,20 @@ mod tests {
         assert_ne!(b.0, 0);
         assert_eq!(TraceId::from_wire(7).0, 7);
         assert_ne!(TraceId::from_wire(0).0, 0, "zero mints fresh");
+    }
+
+    #[test]
+    fn ids_start_from_a_per_process_seed() {
+        // Two seeds drawn in one process already differ (fresh
+        // RandomState keys), so separate processes do too.
+        assert_ne!(process_seed(), process_seed());
+        let base = id_base();
+        assert!(base != 0 && base < 1 << 52);
+        // Unseeded, every process minted splitmix64(1), splitmix64(2),
+        // ... and this test binary mints far fewer than 10 000 ids.
+        let minted = TraceId::mint().0;
+        assert!((1..=10_000).all(|i| splitmix64(i) != minted));
+        assert!(next_span_id() > 10_000);
     }
 
     #[test]

@@ -22,6 +22,13 @@ echo "== recovery chaos (exhaustive checkpoint crash-point injection) =="
 # never-crashed control, with HEAD valid-or-absent.
 cargo test --release -q --test crash_points
 
+echo "== crypto differential (release, long seeded sweep vs the reference oracle) =="
+# Byte-identical signatures and identical verify verdicts (honest,
+# tampered, high-s, out-of-range, off-curve, infinity, non-canonical
+# keys) against the first secp256k1 implementation, kept as a test
+# oracle, over thousands of seeded cases.
+cargo test --release -q --test differential_crypto -- --include-ignored
+
 echo "== checkpointed restart gate (O(tail) vs O(history) A/B) =="
 # Hard-asserts inside the binary: the checkpointed reopen loads HEAD and
 # replays at most the post-checkpoint tail, never the whole history.

@@ -74,11 +74,11 @@ fn starts(spans: &[recorder::SpanEvent], name: &str) -> Vec<u64> {
 
 #[test]
 fn traced_commit_covers_every_stage_in_order() {
-    let (service, alice, _telemetry, dir) = durable_service("stages");
+    let (service, alice, telemetry, dir) = durable_service("stages");
 
-    // AppendCommitted through the group committer: queue wait, window
-    // commit, seal, and the seal's durability barrier all before the
-    // receipt.
+    // AppendCommitted through the group committer: π_c admission, queue
+    // wait, window commit, seal, and the seal's durability barrier all
+    // before the receipt.
     let trace_id = 0xABCD_0123_4567_89EFu64;
     let response = service.handle_traced(Request::AppendCommitted(tx(&alice, 0)), Some(trace_id));
     assert!(matches!(response, Response::Committed(_)), "got {response:?}");
@@ -86,6 +86,7 @@ fn traced_commit_covers_every_stage_in_order() {
     let spans = recorder::events_for(trace_id);
     for stage in [
         "append_committed",
+        "admission_verify",
         "batch_queue_wait",
         "locked_insert",
         "wal_write",
@@ -102,10 +103,22 @@ fn traced_commit_covers_every_stage_in_order() {
             spans.iter().map(|s| recorder::name_of(s.name_id)).collect::<Vec<_>>(),
         );
     }
-    // Commit-order skeleton: queue wait starts before the locked
-    // window, the window before the seal, the seal before its (final)
-    // fsync barrier.
+    // Commit-order skeleton: admission ends before the queue wait
+    // starts, the queue wait starts before the locked window, the window
+    // before the seal, the seal before its (final) fsync barrier.
+    let admission = spans
+        .iter()
+        .find(|s| recorder::name_of(s.name_id) == "admission_verify")
+        .unwrap();
     let queue = *starts(&spans, "batch_queue_wait").iter().min().unwrap();
+    assert!(
+        admission.end_ns <= queue,
+        "admission_verify must finish before the job is queued"
+    );
+    // The matching histogram saw exactly this one admission.
+    let admitted = telemetry.histogram("batch_admission_verify_seconds", Unit::Seconds).snapshot();
+    assert_eq!(admitted.count, 1);
+    assert!(admitted.sum <= admission.end_ns - admission.start_ns);
     let lock = *starts(&spans, "locked_insert").iter().min().unwrap();
     let seal = *starts(&spans, "seal").iter().min().unwrap();
     let fsync = *starts(&spans, "fsync_barrier").iter().max().unwrap();
